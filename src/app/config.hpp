@@ -1,11 +1,11 @@
 // Scenario files: a line-oriented text format describing an overlay and
 // its multicast sessions, consumed by the CLI tools (tools/ncfn-plan,
-// tools/ncfn-run) and usable by any embedder.
+// tools/ncfn-run, tools/ncfn-sweep) and usable by any embedder.
 //
 //   # comments and blank lines are ignored
 //   alpha 20                                # VNF cost (Mbps-equivalent)
 //   batch 32                                # VNF lane batch size (1..32)
-//   workers 4                               # run sharded across 4 workers
+//   workers 4                               # run shards on 4 workers
 //   node V1 host [bin=400] [bout=500]       # caps in Mbps, optional
 //   node O1 dc bin=200 bout=200 cap=200     # cap = C(v), coding rate
 //   edge V1 O1 30 35                        # delay_ms capacity_Mbps
@@ -60,10 +60,10 @@ struct Scenario {
   /// packets drained per lane service event. 1 = strict per-packet
   /// processing (the pre-batching baseline).
   std::size_t max_batch = coding::kBatchCapacity;
-  /// Worker threads for the sharded engine (`workers <n>`). 0 (the
-  /// default) keeps the legacy single-engine path; any value >= 1 runs
-  /// the scenario through app::ShardedScenarioRun. Never affects
-  /// results — only which threads execute which shard.
+  /// Worker threads app::ShardedScenarioRun runs the scenario's shards
+  /// on (`workers <n>`, n >= 1); 0 means no `workers` line, which runs
+  /// one worker. Never affects results — only which threads execute
+  /// which shard.
   std::size_t workers = 0;
 
   [[nodiscard]] std::string node_name(graph::NodeIdx idx) const;

@@ -53,6 +53,75 @@ std::vector<graph::NodeIdx> session_nodes(const graph::Topology& topo,
   return nodes;
 }
 
+/// Play the scenario's fail/crash lines on `shard`. A controller mirrors
+/// the deployment; on a link outage it re-solves (unaffected sessions stay
+/// frozen) and the affected sessions are rewired onto its new plan.
+/// Called after the sessions are built and before they start, which fixes
+/// the order of the events it schedules among theirs.
+void schedule_faults(const Scenario& scenario, SimShard& shard) {
+  shard.owner.assert_held();  // the building lane
+  ctrl::Controller::Config ccfg;
+  ccfg.alpha = scenario.alpha;
+  shard.controller = std::make_unique<ctrl::Controller>(scenario.topo, ccfg);
+  shard.controller->set_obs(&shard.sim->obs());
+  for (const std::size_t m : shard.session_index) {
+    shard.controller->add_session(scenario.sessions[m], 0.0);
+  }
+  // Each event runs on the lane that owns the shard in that window.
+  netsim::Simulator& sim = shard.sim->net().sim();
+  SimShard* s = &shard;
+  for (const LinkFailure& lf : scenario.failures) {
+    const graph::EdgeIdx e = scenario.topo.find_edge(lf.from, lf.to);
+    sim.schedule_at(lf.at_s, [s, e] {
+      s->owner.assert_held();
+      std::vector<std::size_t> affected;
+      for (std::size_t i = 0; i < s->sessions.size(); ++i) {
+        if (s->controller->plan().edge_rate_mbps[i].count(e) > 0) {
+          affected.push_back(i);
+        }
+      }
+      s->sim->link(e)->set_up(false);
+      s->controller->report_link_state(e, false, s->sim->net().sim().now());
+      for (std::size_t i : affected) {
+        s->sessions[i]->rewire(s->controller->plan(), i);
+      }
+    });
+    if (lf.for_s > 0) {
+      sim.schedule_at(lf.at_s + lf.for_s, [s, e] {
+        s->owner.assert_held();
+        s->sim->link(e)->set_up(true);
+        s->controller->report_link_state(e, true, s->sim->net().sim().now());
+        // Recovery unfreezes everything; rewire every session.
+        for (std::size_t i = 0; i < s->sessions.size(); ++i) {
+          s->sessions[i]->rewire(s->controller->plan(), i);
+        }
+      });
+    }
+  }
+  for (const VnfCrash& c : scenario.crashes) {
+    sim.schedule_at(c.at_s, [s, node = c.node] {
+      s->owner.assert_held();
+      if (vnf::CodingVnf* v = s->sim->find_vnf(node)) v->crash();
+      const graph::Topology& topo = s->sim->topo();
+      for (std::size_t i = 0; i < s->sessions.size(); ++i) {
+        bool uses = false;
+        for (const auto& [e, rate] : s->controller->plan().edge_rate_mbps[i]) {
+          uses = uses || topo.edge(e).from == node || topo.edge(e).to == node;
+        }
+        if (!uses) continue;
+        for (std::size_t r = 0; r < s->sessions[i]->receiver_count(); ++r) {
+          s->sessions[i]->receiver(r).mark_disruption();
+        }
+      }
+    });
+    const double restart_after = c.for_s > 0 ? c.for_s : 0.376;
+    sim.schedule_at(c.at_s + restart_after, [s, node = c.node] {
+      s->owner.assert_held();
+      if (vnf::CodingVnf* v = s->sim->find_vnf(node)) v->restart();
+    });
+  }
+}
+
 }  // namespace
 
 ShardPlan partition_sessions(const graph::Topology& topo,
@@ -82,6 +151,18 @@ ShardPlan partition_sessions(const graph::Topology& topo,
     out.session_shard[m] = it->second;
     out.shard_sessions[it->second].push_back(m);
   }
+  return out;
+}
+
+ShardPlan partition_sessions(const Scenario& scenario,
+                             const ctrl::DeploymentPlan& plan) {
+  if (scenario.failures.empty() && scenario.crashes.empty()) {
+    return partition_sessions(scenario.topo, plan, scenario.sessions);
+  }
+  ShardPlan out;
+  out.session_shard.assign(scenario.sessions.size(), 0);
+  out.shard_sessions.emplace_back(scenario.sessions.size());
+  std::iota(out.shard_sessions[0].begin(), out.shard_sessions[0].end(), 0);
   return out;
 }
 
@@ -135,7 +216,7 @@ ShardedScenarioRun::ShardedScenarioRun(const Scenario& scenario,
     : scenario_(&scenario),
       plan_(&plan),
       opts_(opts),
-      parts_(partition_sessions(scenario.topo, plan, scenario.sessions)),
+      parts_(partition_sessions(scenario, plan)),
       pool_(opts.workers) {}
 
 void ShardedScenarioRun::build_shard(std::size_t k) {
@@ -165,9 +246,9 @@ void ShardedScenarioRun::build_shard(std::size_t k) {
 
   coding::CodingParams params;
   for (const std::size_t m : parts_.shard_sessions[k]) {
-    // Per-SESSION seeds match the single-engine path (tools/ncfn-run):
-    // session content and wiring depend on the global session index, so
-    // regrouping sessions into shards never changes what a session sends.
+    // Per-SESSION seeds: session content and wiring depend on the global
+    // session index, so regrouping sessions into shards never changes
+    // what a session sends.
     const double lambda = plan_->lambda_mbps[m];
     shard->providers.push_back(std::make_unique<SyntheticProvider>(
         opts_.seed + m,
@@ -188,6 +269,9 @@ void ShardedScenarioRun::build_shard(std::size_t k) {
           shard->providers.back().get());
     }
     shard->session_index.push_back(m);
+  }
+  if (!scenario_->failures.empty() || !scenario_->crashes.empty()) {
+    schedule_faults(*scenario_, *shard);
   }
   for (auto& s : shard->sessions) s->start();
   shards_[k] = std::move(shard);
@@ -218,17 +302,16 @@ std::vector<ReceiverReport> ShardedScenarioRun::reports() const {
     shard.owner.assert_held();  // post-barrier single-thread ownership
     std::size_t local = 0;
     while (shard.session_index[local] != m) ++local;
-    const NcMulticastSession& session = *shard.sessions[local];
+    // The shard holds sessions by pointer, so they stay non-const here
+    // (receiver() has no const overload).
+    NcMulticastSession& session = *shard.sessions[local];
     for (std::size_t r = 0; r < session.receiver_count(); ++r) {
-      // reports() is const but receiver() is not; go through the shard's
-      // non-const session list instead of const_cast gymnastics.
-      auto& mutable_session = *shard.sessions[local];
-      const auto& st = mutable_session.receiver(r).stats();
+      const auto& st = session.receiver(r).stats();
       ReceiverReport row;
       row.session = spec.id;
       row.receiver = scenario_->node_name(spec.receivers[r]);
       row.planned_mbps = plan_->lambda_mbps[m];
-      row.goodput_mbps = mutable_session.receiver(r).goodput_mbps();
+      row.goodput_mbps = session.receiver(r).goodput_mbps();
       row.repair_requests = st.repair_requests_sent;
       row.verify_failures = st.verify_failures;
       rows.push_back(std::move(row));

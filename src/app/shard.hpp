@@ -12,6 +12,9 @@
 // in sim-time order and the per-shard metrics registries are folded
 // (obs/merge.hpp).
 //
+// It is the only scenario engine: ncfn-run and ncfn-sweep run every
+// scenario through ShardedScenarioRun, at one worker or many.
+//
 // Determinism argument, in one paragraph: sessions are grouped so that
 // two sessions whose deployment plans touch ANY common topology node
 // land in the same shard (partition_sessions), so no two shards ever
@@ -21,6 +24,12 @@
 // in any seed, any schedule, or any merge key. Hence the same seed
 // produces byte-identical merged traces and metrics for 1, 2 or 8
 // workers — the property CI's worker-count determinism gate enforces.
+//
+// Scenario fail/crash lines are played by a live ctrl::Controller inside
+// the shard: on a link outage it re-solves and the affected sessions are
+// rewired onto its new plan. That re-solve routes a session over the
+// capacity every other session leaves, so a faulted scenario is one
+// shard holding all its sessions.
 #pragma once
 
 #include <memory>
@@ -32,6 +41,7 @@
 #include "app/provider.hpp"
 #include "app/runtime.hpp"
 #include "common/sync.hpp"
+#include "ctrl/controller.hpp"
 #include "ctrl/problem.hpp"
 #include "netsim/worker.hpp"
 
@@ -58,6 +68,12 @@ struct ShardPlan {
     const graph::Topology& topo, const ctrl::DeploymentPlan& plan,
     const std::vector<ctrl::SessionSpec>& sessions);
 
+/// The partition a scenario runs on: partition_sessions over its
+/// sessions, or one shard of every session when the scenario has
+/// fail/crash lines (the controller's re-solve couples all sessions).
+[[nodiscard]] ShardPlan partition_sessions(const Scenario& scenario,
+                                           const ctrl::DeploymentPlan& plan);
+
 /// One worker-owned shard: a private SimNet plus the sessions living on
 /// it. Everything reachable from here is touched by exactly one worker
 /// lane during a window.
@@ -79,6 +95,8 @@ struct SimShard {
       NCFN_GUARDED_BY(owner);
   // Global index per entry.
   std::vector<std::size_t> session_index NCFN_GUARDED_BY(owner);
+  // Re-plans around the scenario's fail/crash lines; null without them.
+  std::unique_ptr<ctrl::Controller> controller NCFN_GUARDED_BY(owner);
   // Events executed by run_shard_windows.
   std::uint64_t events NCFN_GUARDED_BY(owner) = 0;
 };
@@ -123,13 +141,11 @@ struct ReceiverReport {
   std::uint64_t verify_failures = 0;
 };
 
-/// The sharded scenario engine behind `ncfn-run --workers` and
-/// `ncfn-sweep`: partitions the plan's sessions, builds one shard per
-/// group (in parallel — construction is per-shard work too), runs the
-/// lockstep windows, and exposes deterministically merged outputs.
-/// Scenarios with fail/crash lines are not supported here (the live
-/// controller is a cross-session coupling); callers route those through
-/// the single-engine path.
+/// The scenario engine behind `ncfn-run` and `ncfn-sweep`: partitions
+/// the plan's sessions, builds one shard per group (in parallel —
+/// construction is per-shard work too), schedules the scenario's
+/// fail/crash lines, runs the lockstep windows, and exposes
+/// deterministically merged outputs.
 class ShardedScenarioRun {
  public:
   /// `scenario` and `plan` must outlive the run.

@@ -1,6 +1,7 @@
 // Embarrassingly-parallel scenario sweeps: fan a (seeds x losses x
 // batches) matrix over one scenario across worker lanes, one full
-// ShardedScenarioRun per cell, and emit one deterministic JSON document.
+// ShardedScenarioRun per cell (fail/crash lines included), and emit one
+// deterministic JSON document.
 //
 // Parallelism here is ACROSS runs, not within them: each cell runs with
 // an inline single-worker engine, so a cell's result is a pure function

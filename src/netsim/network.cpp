@@ -44,51 +44,50 @@ void Link::set_up(bool up) {
   if (trace_ != nullptr) trace_->link_state(from_, to_, up);
 }
 
-void Link::transmit(Datagram d) {
-  ++stats_.offered;
-  Simulator& sim = net_.sim();
+void Link::drop(Datagram& d, std::uint64_t& stat, obs::Counter* counter,
+                const char* reason) {
+  ++stat;
+  if (counter != nullptr) counter->inc();
+  if (trace_ != nullptr) {
+    trace_->packet_drop(from_, to_, d.wire_bytes(), reason);
+  }
+  net_.recycle_buffer(std::move(d.payload));
+}
 
+std::optional<Time> Link::admit(Datagram& d) {
+  ++stats_.offered;
+  // The first failing check names the drop. The loss model draws only for
+  // packets that reach it, one draw per packet in arrival order.
   if (!up_) {
-    ++stats_.dropped_down;
-    if (m_drop_down_ != nullptr) m_drop_down_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, d.wire_bytes(), "down");
-    }
-    net_.recycle_buffer(std::move(d.payload));
-    return;
+    drop(d, stats_.dropped_down, m_drop_down_, "down");
+    return std::nullopt;
   }
   if (loss_ && loss_->drop(net_.rng())) {
-    ++stats_.dropped_loss;
-    if (m_drop_loss_ != nullptr) m_drop_loss_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, d.wire_bytes(), "loss");
-    }
-    net_.recycle_buffer(std::move(d.payload));
-    return;
+    drop(d, stats_.dropped_loss, m_drop_loss_, "loss");
+    return std::nullopt;
   }
   if (queued_ >= queue_limit_) {
-    ++stats_.dropped_queue;
-    if (m_drop_queue_ != nullptr) m_drop_queue_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, d.wire_bytes(), "queue");
-    }
-    net_.recycle_buffer(std::move(d.payload));
-    return;
+    drop(d, stats_.dropped_queue, m_drop_queue_, "queue");
+    return std::nullopt;
   }
-
-  const double bits = static_cast<double>(d.wire_bytes()) * 8.0;
-  const Time start = std::max(sim.now(), busy_until_);
-  const Time tx = bits / capacity_bps_;
-  busy_until_ = start + tx;
+  const Time tx = static_cast<double>(d.wire_bytes()) * 8.0 / capacity_bps_;
+  busy_until_ = std::max(net_.sim().now(), busy_until_) + tx;
   ++queued_;
-  if (m_enqueued_ != nullptr) {
-    m_enqueued_->inc();
-    m_queue_depth_->set(static_cast<double>(queued_));
-    m_busy_s_->add(tx);
-  }
   if (trace_ != nullptr) {
     trace_->packet_enqueue(from_, to_, d.wire_bytes(), queued_);
   }
+  return tx;
+}
+
+void Link::transmit(Datagram d) {
+  const std::optional<Time> tx = admit(d);
+  if (!tx) return;
+  if (m_enqueued_ != nullptr) {
+    m_enqueued_->inc();
+    m_queue_depth_->set(static_cast<double>(queued_));
+    m_busy_s_->add(*tx);
+  }
+  Simulator& sim = net_.sim();
 
   // The egress queue empties when the serializer finishes the packet, not
   // when the packet lands `prop_delay_` later: a long-delay path must not
@@ -126,57 +125,21 @@ void Link::transmit_burst(std::span<Datagram> burst) {
   }
   Simulator& sim = net_.sim();
 
-  // Per-packet admission, exactly as transmit(): loss model draws happen
-  // in arrival order, every drop keeps its own trace line. Survivors move
-  // into the burst vector that rides the shared delivery event.
+  // Per-packet admission, exactly as transmit(). Survivors move into the
+  // burst vector that rides the shared delivery event.
   std::vector<Datagram> committed;
   committed.reserve(burst.size());
-  std::uint64_t enqueued = 0;
   double burst_tx = 0.0;
   for (Datagram& d : burst) {
-    ++stats_.offered;
-    if (!up_) {
-      ++stats_.dropped_down;
-      if (m_drop_down_ != nullptr) m_drop_down_->inc();
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, d.wire_bytes(), "down");
-      }
-      net_.recycle_buffer(std::move(d.payload));
-      continue;
-    }
-    if (loss_ && loss_->drop(net_.rng())) {
-      ++stats_.dropped_loss;
-      if (m_drop_loss_ != nullptr) m_drop_loss_->inc();
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, d.wire_bytes(), "loss");
-      }
-      net_.recycle_buffer(std::move(d.payload));
-      continue;
-    }
-    if (queued_ >= queue_limit_) {
-      ++stats_.dropped_queue;
-      if (m_drop_queue_ != nullptr) m_drop_queue_->inc();
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, d.wire_bytes(), "queue");
-      }
-      net_.recycle_buffer(std::move(d.payload));
-      continue;
-    }
-    const double bits = static_cast<double>(d.wire_bytes()) * 8.0;
-    const Time start = std::max(sim.now(), busy_until_);
-    busy_until_ = start + bits / capacity_bps_;
-    burst_tx += bits / capacity_bps_;
-    ++queued_;
-    ++enqueued;
-    if (trace_ != nullptr) {
-      trace_->packet_enqueue(from_, to_, d.wire_bytes(), queued_);
-    }
+    const std::optional<Time> tx = admit(d);
+    if (!tx) continue;
+    burst_tx += *tx;
     committed.push_back(std::move(d));
   }
   if (committed.empty()) return;
   const std::size_t n = committed.size();
   if (m_enqueued_ != nullptr) {
-    m_enqueued_->inc(enqueued);
+    m_enqueued_->inc(n);
     m_queue_depth_->set(static_cast<double>(queued_));
     m_busy_s_->add(burst_tx);
   }
@@ -224,12 +187,7 @@ void Link::complete_delivery(Datagram pkt, std::uint64_t epoch) {
   --stats_.in_flight;
   if (epoch != down_epoch_) {
     // The link went down after this packet was committed to the wire.
-    ++stats_.dropped_down;
-    if (m_drop_down_ != nullptr) m_drop_down_->inc();
-    if (trace_ != nullptr) {
-      trace_->packet_drop(from_, to_, pkt.wire_bytes(), "down");
-    }
-    net_.recycle_buffer(std::move(pkt.payload));
+    drop(pkt, stats_.dropped_down, m_drop_down_, "down");
     return;
   }
   ++stats_.delivered;
@@ -253,14 +211,7 @@ void Link::complete_burst_delivery(std::vector<Datagram> pkts,
   if (epoch != down_epoch_) {
     // The link went down while the burst was committed to the wire; every
     // packet in it is lost together.
-    stats_.dropped_down += pkts.size();
-    if (m_drop_down_ != nullptr) m_drop_down_->inc(pkts.size());
-    for (Datagram& p : pkts) {
-      if (trace_ != nullptr) {
-        trace_->packet_drop(from_, to_, p.wire_bytes(), "down");
-      }
-      net_.recycle_buffer(std::move(p.payload));
-    }
+    for (Datagram& p : pkts) drop(p, stats_.dropped_down, m_drop_down_, "down");
     return;
   }
   std::uint64_t bytes = 0;

@@ -125,6 +125,15 @@ class Link : public std::enable_shared_from_this<Link> {
   void bind_obs(obs::Observability* obs);
 
  private:
+  /// Admission step shared by transmit() and transmit_burst(): count the
+  /// offer, then drop the packet (down, loss draw, tail drop) or commit it
+  /// to the serializer queue. Returns the packet's serialization time when
+  /// admitted.
+  std::optional<Time> admit(Datagram& d);
+  /// Drop `d`: bump `stat` and `counter`, trace `reason`, recycle the
+  /// payload. Every drop on the link goes through here.
+  void drop(Datagram& d, std::uint64_t& stat, obs::Counter* counter,
+            const char* reason);
   /// Serializer finished pushing one packet onto the wire: the egress
   /// queue shrinks now, not when the packet lands after propagation.
   void serializer_departure();

@@ -24,21 +24,12 @@ std::size_t Simulator::run_until(Time t_end) {
   while (!queue_.empty() && queue_.top().at <= t_end) {
     Event ev = queue_.top();
     queue_.pop();
-    if (is_cancelled(ev.id)) {
-      if (cancelled_live_ > 0) --cancelled_live_;
-      continue;
-    }
+    if (is_cancelled(ev.id)) continue;
     now_ = ev.at;
     ev.fn();
     ++executed;
   }
-  // Track how many cancelled ids still refer to queued events so empty()
-  // stays meaningful.
-  cancelled_live_ = cancelled_.size();
-  if (queue_.empty()) {
-    cancelled_.clear();
-    cancelled_live_ = 0;
-  }
+  if (queue_.empty()) cancelled_.clear();
   if (now_ < t_end && t_end != kForever) now_ = t_end;
   return executed;
 }

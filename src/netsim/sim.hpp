@@ -42,8 +42,6 @@ class Simulator {
   /// Run until the queue drains entirely.
   std::size_t run() { return run_until(kForever); }
 
-  [[nodiscard]] bool empty() const { return queue_.size() == cancelled_live_; }
-
   static constexpr Time kForever = 1e18;
 
  private:
@@ -63,7 +61,6 @@ class Simulator {
   EventId next_id_ = 1;
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
   std::vector<EventId> cancelled_;
-  std::size_t cancelled_live_ = 0;  // cancelled events still sitting in queue_
 };
 
 }  // namespace ncfn::netsim

@@ -13,6 +13,7 @@
 #include "app/config.hpp"
 #include "app/provider.hpp"
 #include "app/runtime.hpp"
+#include "app/shard.hpp"
 #include "coding/encoder.hpp"
 #include "ctrl/controller.hpp"
 #include "ctrl/problem.hpp"
@@ -434,6 +435,95 @@ TEST(FaultEndToEnd, IdenticalSeedsAreByteIdentical) {
   const FaultRun b = run_fault_scenario(7);
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_FALSE(a.trace.empty());
+}
+
+// ---------------------------------------------------------------------------
+// The same fail/crash lines through the scenario engine: two sessions
+// share the controller, the run is one shard, and the worker count
+// changes nothing observable.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+constexpr char kTwoSessionFaultScenario[] = R"(
+alpha 0
+node S host
+node T host
+node A dc bin=1000 bout=1000 cap=1000
+node B dc bin=1000 bout=1000 cap=1000
+node R host
+duplex S A 2 100
+duplex S B 2 100
+duplex T A 2 100
+duplex T B 2 100
+duplex A R 2 100
+duplex B R 2 100
+edge R S 5 10
+edge R T 5 10
+session 1 S -> R lmax=500 maxrate=80
+session 2 T -> R lmax=500 maxrate=60
+fail A R at=0.5 for=1.0
+crash A at=0.6 for=0.4
+)";
+
+struct EngineRun {
+  std::string trace;
+  std::string metrics;
+  std::vector<app::ReceiverReport> reports;
+  std::size_t shards = 0;
+};
+
+EngineRun run_fault_engine(const app::Scenario& scenario,
+                           const ctrl::DeploymentPlan& plan,
+                           std::size_t workers) {
+  app::ShardedRunOptions opts;
+  opts.workers = workers;
+  opts.duration_s = 2.5;
+  opts.trace = true;
+  app::ShardedScenarioRun run(scenario, plan, opts);
+  run.run();
+  return EngineRun{run.trace_jsonl(), run.metrics_json(), run.reports(),
+                   run.shard_plan().shard_count()};
+}
+
+}  // namespace
+
+TEST(FaultEngine, ShardedRunPlaysFaultsIdenticallyForAnyWorkerCount) {
+  app::ParseError err;
+  const auto scenario = app::parse_scenario(kTwoSessionFaultScenario, &err);
+  ASSERT_TRUE(scenario.has_value()) << err.message;
+  ctrl::DeploymentProblem prob;
+  prob.topo = &scenario->topo;
+  prob.sessions = scenario->sessions;
+  prob.alpha = scenario->alpha;
+  const auto plan = ctrl::solve_deployment(prob);
+  ASSERT_TRUE(plan.feasible);
+
+  const EngineRun one = run_fault_engine(*scenario, plan, 1);
+  const EngineRun two = run_fault_engine(*scenario, plan, 2);
+  EXPECT_EQ(one.shards, 1u);
+  EXPECT_EQ(one.trace, two.trace);
+  EXPECT_EQ(one.metrics, two.metrics);
+  ASSERT_EQ(one.reports.size(), 2u);
+  ASSERT_EQ(two.reports.size(), one.reports.size());
+  for (std::size_t i = 0; i < one.reports.size(); ++i) {
+    const app::ReceiverReport& a = one.reports[i];
+    const app::ReceiverReport& b = two.reports[i];
+    EXPECT_EQ(a.session, b.session);
+    EXPECT_EQ(a.receiver, b.receiver);
+    EXPECT_EQ(a.planned_mbps, b.planned_mbps);
+    EXPECT_EQ(a.goodput_mbps, b.goodput_mbps);
+    EXPECT_EQ(a.repair_requests, b.repair_requests);
+    EXPECT_EQ(a.verify_failures, 0u);
+    EXPECT_EQ(b.verify_failures, 0u);
+    EXPECT_GT(a.goodput_mbps, 0.0);
+  }
+  for (const char* ev :
+       {"resolve", "link_down", "link_up", "vnf_crash", "vnf_restart"}) {
+    EXPECT_NE(one.trace.find("\"ev\":\"" + std::string(ev) + "\""),
+              std::string::npos)
+        << ev;
+  }
 }
 
 // ---------------------------------------------------------------------------

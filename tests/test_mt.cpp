@@ -148,6 +148,39 @@ TEST(Partition, SessionsSharingANodeShareAShard) {
   EXPECT_EQ(parts.session_shard[0], parts.session_shard[1]);
 }
 
+TEST(Partition, FailLineMakesOneShardOfDisjointSessions) {
+  // Two node-disjoint sessions would get a shard each, but the fail line
+  // brings in the controller, whose re-solve routes an affected session
+  // over the capacity every other session leaves: one shard holds both.
+  const char* text =
+      "alpha 0\n"
+      "node V1 host\n"
+      "node R1 host\n"
+      "node V2 host\n"
+      "node R2 host\n"
+      "node D1 dc bin=200 bout=200 cap=200\n"
+      "node D2 dc bin=200 bout=200 cap=200\n"
+      "duplex V1 D1 10 50\n"
+      "duplex D1 R1 10 50\n"
+      "duplex V2 D2 10 50\n"
+      "duplex D2 R2 10 50\n"
+      "session 1 V1 -> R1 lmax=150\n"
+      "session 2 V2 -> R2 lmax=150\n"
+      "fail D1 R1 at=0.5 for=0.5\n";
+  app::ParseError err;
+  const auto scenario = app::parse_scenario(text, &err);
+  ASSERT_TRUE(scenario.has_value()) << err.message;
+  const auto plan = solve(*scenario);
+  ASSERT_EQ(
+      app::partition_sessions(scenario->topo, plan, scenario->sessions)
+          .shard_count(),
+      2u);
+  const auto parts = app::partition_sessions(*scenario, plan);
+  ASSERT_EQ(parts.shard_count(), 1u);
+  EXPECT_EQ(parts.session_shard, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(parts.shard_sessions[0], (std::vector<std::size_t>{0, 1}));
+}
+
 // ---- The determinism contract ----
 
 struct RunOutput {
@@ -261,7 +294,7 @@ TEST(Config, WorkersKeywordParses) {
   const auto s = app::parse_scenario("workers 4\n", &err);
   ASSERT_TRUE(s.has_value()) << err.message;
   EXPECT_EQ(s->workers, 4u);
-  EXPECT_EQ(app::parse_scenario("")->workers, 0u);  // default: legacy engine
+  EXPECT_EQ(app::parse_scenario("")->workers, 0u);  // no line: one worker
 }
 
 TEST(Config, WorkersKeywordRejectsGarbage) {

@@ -3,12 +3,15 @@
 // The positive paths live in test_ctrl / test_config / test_fuzz; this
 // suite is the rejection catalogue — checked parse_num semantics, the
 // forwarding-table grammar hardening (duplicates, overlong lines,
-// trailing bytes), and the strict NC_* signal field rules.
+// trailing bytes), the strict NC_* signal field rules, and the tools'
+// shared command-line parser.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "app/cli.hpp"
 #include "app/config.hpp"
 #include "coding/strparse.hpp"
 #include "ctrl/fwdtable.hpp"
@@ -173,4 +176,92 @@ TEST(ScenarioNegative, RejectsOutOfRangeSessionId) {
                                    &err)
                    .has_value());
   EXPECT_EQ(err.line, 3);
+}
+
+// ---- Tool command lines (app::CliFlags) --------------------------------
+
+namespace {
+
+/// The flags ncfn-run binds, parsed from `args` (program name prepended).
+struct RunFlags {
+  double duration = 5.0;
+  std::uint32_t seed = 7;
+  std::size_t workers = 0;
+  std::string trace_out;
+  std::vector<double> losses;
+  app::CliFlags flags;
+
+  RunFlags() {
+    flags.num("--duration", "s", &duration);
+    flags.num("--seed", "n", &seed);
+    flags.num("--workers", "n", &workers, std::size_t{1});
+    flags.text("--trace-out", "file", &trace_out);
+    flags.list("--loss", "a,b,...", &losses);
+  }
+
+  std::optional<std::string> parse(std::vector<const char*> args) {
+    args.insert(args.begin(), "ncfn-run");
+    return flags.parse(static_cast<int>(args.size()), args.data());
+  }
+};
+
+}  // namespace
+
+TEST(CliNegative, AcceptsWellFormedCommandLine) {
+  RunFlags f;
+  const auto path = f.parse({"x.ncfn", "--duration", "2.5", "--workers", "4",
+                             "--loss", "0,0.05", "--trace-out", "t.jsonl"});
+  ASSERT_TRUE(path.has_value()) << f.flags.error();
+  EXPECT_EQ(*path, "x.ncfn");
+  EXPECT_EQ(f.duration, 2.5);
+  EXPECT_EQ(f.workers, 4u);
+  EXPECT_EQ(f.losses, (std::vector<double>{0.0, 0.05}));
+  EXPECT_EQ(f.trace_out, "t.jsonl");
+  EXPECT_EQ(f.seed, 7u);  // untouched default
+}
+
+TEST(CliNegative, RejectsUnknownFlag) {
+  RunFlags f;
+  EXPECT_FALSE(f.parse({"x.ncfn", "--wrokers", "4"}).has_value());
+  EXPECT_EQ(f.flags.error(), "unknown flag '--wrokers'");
+  EXPECT_EQ(f.workers, 0u);
+}
+
+TEST(CliNegative, RejectsFlagWithoutValue) {
+  RunFlags f;
+  // A trailing flag used to be skipped, leaving the 5 s default.
+  EXPECT_FALSE(f.parse({"x.ncfn", "--duration"}).has_value());
+  EXPECT_EQ(f.flags.error(), "--duration needs a value");
+  RunFlags g;
+  EXPECT_FALSE(g.parse({"x.ncfn", "--trace-out", "--seed", "3"}).has_value());
+  EXPECT_EQ(g.flags.error(), "--trace-out needs a value");
+}
+
+TEST(CliNegative, RejectsRepeatedFlag) {
+  RunFlags f;
+  EXPECT_FALSE(f.parse({"x.ncfn", "--seed", "1", "--seed", "2"}).has_value());
+  EXPECT_EQ(f.flags.error(), "--seed given twice");
+}
+
+TEST(CliNegative, RejectsBadNumbers) {
+  const std::vector<std::vector<const char*>> cases = {
+      {"x.ncfn", "--duration", "5s"},
+      {"x.ncfn", "--seed", "-1"},
+      {"x.ncfn", "--workers", "0"},
+      {"x.ncfn", "--loss", "0,,0.1"},
+      {"x.ncfn", "--loss", "0.1,"},
+  };
+  for (const auto& args : cases) {
+    RunFlags f;
+    EXPECT_FALSE(f.parse(args).has_value()) << args[1] << " " << args[2];
+    EXPECT_EQ(f.flags.error().rfind("bad value for ", 0), 0u)
+        << f.flags.error();
+  }
+}
+
+TEST(CliNegative, RejectsMissingScenarioFile) {
+  RunFlags f;
+  EXPECT_FALSE(f.parse({}).has_value());
+  EXPECT_FALSE(f.parse({"--duration", "1"}).has_value());
+  EXPECT_EQ(f.flags.error(), "missing <scenario-file>");
 }

@@ -5,14 +5,12 @@
 //
 // Prints per-session rates, VNF placement, and the per-edge flow routing
 // (the forwarding tables the controller would push). See
-// tools/scenarios/ for examples of the file format.
+// tools/scenarios/ for examples of the file format. Flags are parsed
+// strictly (app/cli.hpp): bad input prints usage and exits 2.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
-#include "coding/strparse.hpp"
-
+#include "app/cli.hpp"
 #include "app/config.hpp"
 #include "ctrl/problem.hpp"
 #include "ctrl/quantize.hpp"
@@ -21,32 +19,21 @@
 using namespace ncfn;
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
-                 "usage: %s <scenario-file> [--quantize <blocks>]\n", argv[0]);
-    return 2;
-  }
   int quantize_blocks = 0;
-  for (int i = 2; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--quantize") == 0) {
-      const auto v = coding::parse_num<int>(argv[i + 1]);
-      if (!v) {
-        std::fprintf(stderr, "bad value for --quantize: '%s'\n", argv[i + 1]);
-        return 2;
-      }
-      quantize_blocks = *v;
-    }
-  }
+  app::CliFlags flags;
+  flags.num("--quantize", "blocks", &quantize_blocks, 0);
+  const auto path = flags.parse(argc, argv);
+  if (!path) return 2;
 
   app::ParseError err;
-  const auto scenario = app::load_scenario(argv[1], &err);
+  const auto scenario = app::load_scenario(*path, &err);
   if (!scenario) {
-    std::fprintf(stderr, "%s:%d: %s\n", argv[1], err.line,
+    std::fprintf(stderr, "%s:%d: %s\n", path->c_str(), err.line,
                  err.message.c_str());
     return 1;
   }
   if (scenario->sessions.empty()) {
-    std::fprintf(stderr, "%s: no sessions declared\n", argv[1]);
+    std::fprintf(stderr, "%s: no sessions declared\n", path->c_str());
     return 1;
   }
 
