@@ -1,6 +1,7 @@
 #include "app/scenarios.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "graph/maxflow.hpp"
 
@@ -79,6 +80,31 @@ double butterfly_capacity_mbps(const Butterfly& b) {
              relay_only.topo, relay_only.source,
              {relay_only.recv_o2, relay_only.recv_c2}) /
          kMbps;
+}
+
+Butterflies butterflies(int copies) {
+  const Butterfly b = butterfly(false);
+  Butterflies out;
+  for (int k = 0; k < copies; ++k) {
+    const graph::NodeIdx base = out.topo.node_count();
+    for (graph::NodeIdx v = 0; v < b.topo.node_count(); ++v) {
+      graph::NodeInfo n = b.topo.node(v);
+      n.name = std::to_string(k) + "." + n.name;
+      out.topo.add_node(std::move(n));
+    }
+    for (graph::EdgeIdx e = 0; e < b.topo.edge_count(); ++e) {
+      const graph::EdgeInfo& ei = b.topo.edge(e);
+      out.topo.add_edge(base + ei.from, base + ei.to, ei.delay_s,
+                        ei.capacity_bps);
+    }
+    ctrl::SessionSpec s;
+    s.id = static_cast<coding::SessionId>(k + 1);
+    s.source = base + b.source;
+    s.receivers = {base + b.recv_o2, base + b.recv_c2};
+    s.lmax_s = 0.150;
+    out.sessions.push_back(std::move(s));
+  }
+  return out;
 }
 
 SixDc six_datacenters(const SixDcParams& p) {

@@ -45,6 +45,18 @@ struct Butterfly {
 /// The theoretical coded multicast capacity of the butterfly (Mbps).
 [[nodiscard]] double butterfly_capacity_mbps(const Butterfly& b);
 
+/// `copies` disjoint relayed butterflies (no direct links) with one
+/// session each, V1 -> {O2, C2} at Lmax = 150 ms: copy k's nodes and
+/// edges are the lone butterfly's, offset by k times its node and edge
+/// counts. Many independent tenants under one controller; their
+/// deployment LP is block-diagonal, one block per copy.
+struct Butterflies {
+  graph::Topology topo;
+  std::vector<ctrl::SessionSpec> sessions;
+};
+
+[[nodiscard]] Butterflies butterflies(int copies);
+
 struct SixDc {
   graph::Topology topo;
   std::vector<graph::NodeIdx> dcs;  // CA, OR, VA, TX, GA, NJ

@@ -1,6 +1,7 @@
 #include "app/shard.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <numeric>
 
@@ -122,7 +123,28 @@ void schedule_faults(const Scenario& scenario, SimShard& shard) {
   }
 }
 
+/// Whether edge `e` joins two data centers: the only links that
+/// ShardedRunOptions::loss falls on.
+bool is_dc_link(const graph::Topology& topo, graph::EdgeIdx e) {
+  const graph::EdgeInfo& ei = topo.edge(e);
+  return topo.node(ei.from).kind == graph::NodeKind::kDataCenter &&
+         topo.node(ei.to).kind == graph::NodeKind::kDataCenter;
+}
+
 }  // namespace
+
+std::string unused_loss_warning(const graph::Topology& topo, double loss) {
+  if (!(loss > 0)) return {};
+  for (int e = 0; e < topo.edge_count(); ++e) {
+    if (is_dc_link(topo, e)) return {};
+  }
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                "warning: --loss %g has no effect: the scenario has no link "
+                "between two data centers, the only links loss falls on",
+                loss);
+  return buf;
+}
 
 ShardPlan partition_sessions(const graph::Topology& topo,
                              const ctrl::DeploymentPlan& plan,
@@ -235,9 +257,7 @@ void ShardedScenarioRun::build_shard(std::size_t k) {
 
   if (opts_.loss > 0) {
     for (int e = 0; e < scenario_->topo.edge_count(); ++e) {
-      const auto& ei = scenario_->topo.edge(e);
-      if (scenario_->topo.node(ei.from).kind == graph::NodeKind::kDataCenter &&
-          scenario_->topo.node(ei.to).kind == graph::NodeKind::kDataCenter) {
+      if (is_dc_link(scenario_->topo, e)) {
         shard->sim->link(e)->set_loss_model(
             std::make_unique<netsim::UniformLoss>(opts_.loss));
       }

@@ -131,6 +131,12 @@ struct ShardedRunOptions {
   bool trace = false;
 };
 
+/// The warning ncfn-run and ncfn-sweep print on stderr when a `loss` > 0
+/// falls on no link because `topo` has no link between two data centers
+/// (ShardedRunOptions::loss acts only there); empty otherwise.
+[[nodiscard]] std::string unused_loss_warning(const graph::Topology& topo,
+                                              double loss);
+
 /// One receiver row of the run summary (what ncfn-run prints).
 struct ReceiverReport {
   coding::SessionId session = 0;

@@ -313,6 +313,11 @@ std::vector<std::pair<graph::NodeIdx, double>> DeploymentPlan::next_hops(
   return hops;
 }
 
+lp::Problem relaxation_lp(const DeploymentProblem& prob,
+                          const SolveOptions& opts) {
+  return build_lp(prob, opts, collect_paths(prob, opts)).lp;
+}
+
 DeploymentPlan solve_deployment(const DeploymentProblem& prob,
                                 const SolveOptions& opts) {
   assert(prob.topo != nullptr);

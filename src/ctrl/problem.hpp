@@ -99,6 +99,11 @@ struct SolveOptions {
   const DeploymentPlan* previous = nullptr;
 };
 
+/// The LP relaxation of (2) (x continuous) that solve_deployment solves
+/// first; exposed so the solver's work on it can be measured.
+[[nodiscard]] lp::Problem relaxation_lp(const DeploymentProblem& prob,
+                                        const SolveOptions& opts = {});
+
 /// Solve (2): LP relaxation, round x up, re-solve flows with x fixed.
 [[nodiscard]] DeploymentPlan solve_deployment(const DeploymentProblem& prob,
                                               const SolveOptions& opts = {});

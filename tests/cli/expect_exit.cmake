@@ -1,12 +1,16 @@
 # Script-mode exit-code check for the command-line tools: run one command
-# and require it to exit with EXACTLY the expected code and to print the
-# usage line on stderr. ctest's WILL_FAIL cannot pin the code: it passes
-# on any failure, a crash included.
+# and require it to exit with EXACTLY the expected code and to print a
+# line matching STDERR (default: the usage line) on stderr. ctest's
+# WILL_FAIL cannot pin the code: it passes on any failure, a crash
+# included.
 #
 # Usage:
-#   cmake -DCODE=<n> -P expect_exit.cmake -- <program> [args...]
+#   cmake -DCODE=<n> [-DSTDERR=<regex>] -P expect_exit.cmake -- <program> [args...]
 if(NOT DEFINED CODE)
   message(FATAL_ERROR "expect_exit.cmake: CODE is required")
+endif()
+if(NOT DEFINED STDERR)
+  set(STDERR "usage: ")
 endif()
 
 set(_cmd "")
@@ -33,7 +37,8 @@ if(NOT _rc STREQUAL "${CODE}")
   message(FATAL_ERROR
           "expected exit code ${CODE}, got '${_rc}' from: ${_cmd}\n${_err}")
 endif()
-if(NOT _err MATCHES "usage: ")
-  message(FATAL_ERROR "exit code ${CODE} but no usage line on stderr:\n${_err}")
+if(NOT _err MATCHES "${STDERR}")
+  message(FATAL_ERROR
+          "exit code ${CODE} but nothing matching '${STDERR}' on stderr:\n${_err}")
 endif()
 message(STATUS "ok: exit ${_rc} from: ${_cmd}")

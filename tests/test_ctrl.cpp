@@ -287,3 +287,44 @@ TEST(Problem, NextHopsFollowEdgeRates) {
   for (const auto& [to, rate] : src_hops) total += rate;
   EXPECT_NEAR(total, 70.0, 0.5);
 }
+
+TEST(Problem, DisjointButterfliesEachGetTheLonePlan) {
+  // 50 tenants that share nothing: the LP splits into one block per
+  // copy, and every session gets, edge for edge, a lone butterfly's plan.
+  const auto lone = app::scenarios::butterflies(1);
+  const auto fifty = app::scenarios::butterflies(50);
+  const auto solve = [](const app::scenarios::Butterflies& b) {
+    DeploymentProblem prob;
+    prob.topo = &b.topo;
+    prob.sessions = b.sessions;
+    prob.alpha = 20.0;
+    return solve_deployment(prob);
+  };
+  const DeploymentPlan one = solve(lone);
+  const DeploymentPlan all = solve(fifty);
+  ASSERT_TRUE(one.feasible);
+  ASSERT_TRUE(all.feasible);
+  const int nodes = lone.topo.node_count(), edges = lone.topo.edge_count();
+  ASSERT_EQ(all.lambda_mbps.size(), 50u);
+  EXPECT_EQ(all.vnf_count.size(), 50 * one.vnf_count.size());
+  for (int k = 0; k < 50; ++k) {
+    const auto m = static_cast<std::size_t>(k);
+    EXPECT_EQ(all.lambda_mbps[m], one.lambda_mbps[0]) << "copy " << k;
+    ASSERT_EQ(all.edge_rate_mbps[m].size(), one.edge_rate_mbps[0].size());
+    for (const auto& [e, rate] : one.edge_rate_mbps[0]) {
+      EXPECT_EQ(all.edge_rate_mbps[m].at(e + k * edges), rate)
+          << "copy " << k << " edge " << e;
+    }
+    ASSERT_EQ(all.path_rates[m].size(), one.path_rates[0].size());
+    for (std::size_t r = 0; r < one.path_rates[0].size(); ++r) {
+      ASSERT_EQ(all.path_rates[m][r].size(), one.path_rates[0][r].size());
+      for (std::size_t p = 0; p < one.path_rates[0][r].size(); ++p) {
+        EXPECT_EQ(all.path_rates[m][r][p].rate_mbps,
+                  one.path_rates[0][r][p].rate_mbps);
+      }
+    }
+    for (const auto& [v, n] : one.vnf_count) {
+      EXPECT_EQ(all.vnf_count.at(v + k * nodes), n) << "copy " << k;
+    }
+  }
+}

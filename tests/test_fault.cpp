@@ -621,3 +621,18 @@ TEST(Repair, RetryCountIsCappedPerGeneration) {
   EXPECT_EQ(requests, 3);
   EXPECT_FALSE(rcv.complete());
 }
+
+TEST(LossFlag, WarnsWhenNoDataCenterLinkCarriesTheLoss) {
+  // The diamond's every link touches a host, so --loss would fall on no
+  // link; the butterfly has DC-DC links for it.
+  app::ParseError err;
+  const auto diamond = app::parse_scenario(kFaultScenario, &err);
+  ASSERT_TRUE(diamond.has_value()) << err.message;
+  EXPECT_NE(app::unused_loss_warning(diamond->topo, 0.05).find("--loss 0.05"),
+            std::string::npos);
+  EXPECT_EQ(app::unused_loss_warning(diamond->topo, 0.0), "");
+  const auto butterfly = app::load_scenario(
+      std::string(NCFN_SOURCE_DIR) + "/tools/scenarios/butterfly.ncfn", &err);
+  ASSERT_TRUE(butterfly.has_value()) << err.message;
+  EXPECT_EQ(app::unused_loss_warning(butterfly->topo, 0.05), "");
+}

@@ -6,7 +6,8 @@
 //            [--loss <frac>] [--seed <n>] [--workers <n>]
 //            [--metrics-out <file>] [--trace-out <file>]
 //
-// --loss applies i.i.d. loss to every DC-DC link. Prints per-receiver
+// --loss applies i.i.d. loss to every DC-DC link (with a warning on
+// stderr when the scenario has none). Prints per-receiver
 // goodput and integrity results. --metrics-out dumps the metrics registry
 // as JSON after the run; --trace-out enables the deterministic event
 // trace and writes it as JSONL — identical (scenario, seed, flags) runs
@@ -55,6 +56,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s:%d: %s\n", path->c_str(), err.line,
                  err.message.c_str());
     return 1;
+  }
+  if (const auto w = app::unused_loss_warning(scenario->topo, opts.loss);
+      !w.empty()) {
+    std::fprintf(stderr, "ncfn-run: %s\n", w.c_str());
   }
   ctrl::DeploymentProblem prob;
   prob.topo = &scenario->topo;

@@ -10,12 +10,16 @@
 // only picks the fan-out and never appears in the output, so the same
 // matrix produces byte-identical JSON for any job count (CI exploits
 // this the same way it checks ncfn-run --workers). Flags are parsed
-// strictly (app/cli.hpp): bad input prints usage and exits 2.
+// strictly (app/cli.hpp): bad input prints usage and exits 2. A loss
+// above 0 on a scenario with no DC-DC link draws a warning on stderr
+// (loss falls only on those links); the JSON is the same either way.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "app/cli.hpp"
 #include "app/config.hpp"
+#include "app/shard.hpp"
 #include "app/sweep.hpp"
 #include "ctrl/problem.hpp"
 
@@ -42,6 +46,12 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s:%d: %s\n", path->c_str(), err.line,
                  err.message.c_str());
     return 1;
+  }
+  const double max_loss =
+      *std::max_element(matrix.losses.begin(), matrix.losses.end());
+  if (const auto w = app::unused_loss_warning(scenario->topo, max_loss);
+      !w.empty()) {
+    std::fprintf(stderr, "ncfn-sweep: %s\n", w.c_str());
   }
   ctrl::DeploymentProblem prob;
   prob.topo = &scenario->topo;
