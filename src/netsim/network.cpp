@@ -79,55 +79,11 @@ std::optional<Time> Link::admit(Datagram& d) {
   return tx;
 }
 
-void Link::transmit(Datagram d) {
-  const std::optional<Time> tx = admit(d);
-  if (!tx) return;
-  if (m_enqueued_ != nullptr) {
-    m_enqueued_->inc();
-    m_queue_depth_->set(static_cast<double>(queued_));
-    m_busy_s_->add(*tx);
-  }
-  Simulator& sim = net_.sim();
-
-  // The egress queue empties when the serializer finishes the packet, not
-  // when the packet lands `prop_delay_` later: a long-delay path must not
-  // eat queue budget with packets that are already in propagation.
-  // Scheduled before the delivery event so that at equal timestamps
-  // (zero-delay links) the queue shrinks before delivery is observed.
-  sim.schedule_at(busy_until_, [self = weak_from_this()] {
-    if (auto link = self.lock()) link->serializer_departure();
-  });
-
-  Time deliver_at = busy_until_ + prop_delay_;
-  if (jitter_ > 0) {
-    deliver_at += std::uniform_real_distribution<Time>(0, jitter_)(net_.rng());
-  }
-  ++stats_.in_flight;
-  // Weak handle: if the link is replaced/removed while the packet is in
-  // flight, the packet evaporates instead of touching a dead Link. The
-  // Network itself outlives every event (it owns the Simulator).
-  sim.schedule_at(deliver_at, [self = weak_from_this(), net = &net_,
-                               epoch = down_epoch_,
-                               pkt = std::move(d)]() mutable {
-    if (auto link = self.lock()) {
-      link->complete_delivery(std::move(pkt), epoch);
-    } else {
-      net->recycle_buffer(std::move(pkt.payload));
-    }
-  });
-}
-
-void Link::transmit_burst(std::span<Datagram> burst) {
-  if (burst.empty()) return;
-  if (burst.size() == 1) {
-    transmit(std::move(burst.front()));
-    return;
-  }
-  Simulator& sim = net_.sim();
-
-  // Per-packet admission, exactly as transmit(). Survivors move into the
-  // burst vector that rides the shared delivery event.
-  std::vector<Datagram> committed;
+void Link::transmit(std::span<Datagram> burst) {
+  // Per-packet admission. Survivors move into the burst vector that rides
+  // the shared delivery event; it comes from Network's freelist, so in
+  // steady state a single send costs no vector allocation.
+  std::vector<Datagram> committed = net_.take_burst();
   committed.reserve(burst.size());
   double burst_tx = 0.0;
   for (Datagram& d : burst) {
@@ -136,46 +92,50 @@ void Link::transmit_burst(std::span<Datagram> burst) {
     burst_tx += *tx;
     committed.push_back(std::move(d));
   }
-  if (committed.empty()) return;
+  if (committed.empty()) {
+    net_.recycle_burst(std::move(committed));
+    return;
+  }
   const std::size_t n = committed.size();
   if (m_enqueued_ != nullptr) {
     m_enqueued_->inc(n);
     m_queue_depth_->set(static_cast<double>(queued_));
     m_busy_s_->add(burst_tx);
   }
+  Simulator& sim = net_.sim();
 
-  // One departure for the burst's tail packet (scheduled first, so a
-  // zero-delay delivery at the same timestamp observes the drained
-  // queue, matching transmit()'s ordering)...
+  // The egress queue empties when the serializer finishes the burst's
+  // last packet, not when the packets land `prop_delay_` later: a
+  // long-delay path must not eat queue budget with packets that are
+  // already in propagation. Scheduled before the delivery event so that
+  // at equal timestamps (zero-delay links) the queue shrinks before
+  // delivery is observed.
   sim.schedule_at(busy_until_, [self = weak_from_this(), n] {
-    if (auto link = self.lock()) link->burst_departure(n);
+    if (auto link = self.lock()) link->departure(n);
   });
 
-  // ...and one delivery with a single jitter draw for the whole burst.
+  // One delivery with a single jitter draw for the whole burst.
   Time deliver_at = busy_until_ + prop_delay_;
   if (jitter_ > 0) {
     deliver_at += std::uniform_real_distribution<Time>(0, jitter_)(net_.rng());
   }
   stats_.in_flight += n;
+  // Weak handle: if the link is replaced/removed while the burst is in
+  // flight, it evaporates instead of touching a dead Link. The Network
+  // itself outlives every event (it owns the Simulator).
   sim.schedule_at(deliver_at, [self = weak_from_this(), net = &net_,
                                epoch = down_epoch_,
                                pkts = std::move(committed)]() mutable {
     if (auto link = self.lock()) {
-      link->complete_burst_delivery(std::move(pkts), epoch);
+      link->complete_delivery(std::move(pkts), epoch);
     } else {
       for (Datagram& p : pkts) net->recycle_buffer(std::move(p.payload));
+      net->recycle_burst(std::move(pkts));
     }
   });
 }
 
-void Link::serializer_departure() {
-  --queued_;
-  if (m_queue_depth_ != nullptr) {
-    m_queue_depth_->set(static_cast<double>(queued_));
-  }
-}
-
-void Link::burst_departure(std::size_t n) {
+void Link::departure(std::size_t n) {
   assert(queued_ >= n);
   queued_ -= n;
   if (m_queue_depth_ != nullptr) {
@@ -183,35 +143,13 @@ void Link::burst_departure(std::size_t n) {
   }
 }
 
-void Link::complete_delivery(Datagram pkt, std::uint64_t epoch) {
-  --stats_.in_flight;
-  if (epoch != down_epoch_) {
-    // The link went down after this packet was committed to the wire.
-    drop(pkt, stats_.dropped_down, m_drop_down_, "down");
-    return;
-  }
-  ++stats_.delivered;
-  stats_.bytes_delivered += pkt.wire_bytes();
-  if (m_delivered_ != nullptr) {
-    m_delivered_->inc();
-    m_bytes_->inc(pkt.wire_bytes());
-  }
-  if (trace_ != nullptr) {
-    trace_->packet_deliver(from_, to_, pkt.wire_bytes(), queued_);
-  }
-  net_.deliver(pkt);
-  // Handlers see the datagram by const reference (and copy what they
-  // keep), so the payload storage can go back to the pool.
-  net_.recycle_buffer(std::move(pkt.payload));
-}
-
-void Link::complete_burst_delivery(std::vector<Datagram> pkts,
-                                   std::uint64_t epoch) {
+void Link::complete_delivery(std::vector<Datagram> pkts, std::uint64_t epoch) {
   stats_.in_flight -= pkts.size();
   if (epoch != down_epoch_) {
     // The link went down while the burst was committed to the wire; every
     // packet in it is lost together.
     for (Datagram& p : pkts) drop(p, stats_.dropped_down, m_drop_down_, "down");
+    net_.recycle_burst(std::move(pkts));
     return;
   }
   std::uint64_t bytes = 0;
@@ -227,8 +165,11 @@ void Link::complete_burst_delivery(std::vector<Datagram> pkts,
     m_delivered_->inc(pkts.size());
     m_bytes_->inc(bytes);
   }
-  net_.deliver_burst(pkts);
+  net_.deliver(pkts);
+  // Handlers see the datagrams by reference (and copy or steal what they
+  // keep), so whatever payload storage is left can go back to the pool.
   for (Datagram& p : pkts) net_.recycle_buffer(std::move(p.payload));
+  net_.recycle_burst(std::move(pkts));
 }
 
 NodeId Network::add_node(std::string name) {
@@ -277,19 +218,18 @@ const Link* Network::link(NodeId from, NodeId to) const {
 }
 
 void Network::bind(NodeId node, Port port, DatagramHandler handler) {
+  bind_burst(node, port,
+             [handler = std::move(handler)](std::span<Datagram> run) {
+               for (const Datagram& d : run) handler(d);
+             });
+}
+
+void Network::bind_burst(NodeId node, Port port, BurstHandler handler) {
   handlers_[{node, port}] = std::move(handler);
 }
 
 void Network::unbind(NodeId node, Port port) {
   handlers_.erase({node, port});
-}
-
-void Network::bind_burst(NodeId node, Port port, BurstHandler handler) {
-  burst_handlers_[{node, port}] = std::move(handler);
-}
-
-void Network::unbind_burst(NodeId node, Port port) {
-  burst_handlers_.erase({node, port});
 }
 
 bool Network::send(Datagram d) {
@@ -298,14 +238,14 @@ bool Network::send(Datagram d) {
     recycle_buffer(std::move(d.payload));
     return false;
   }
-  l->transmit(std::move(d));
+  l->transmit({&d, 1});
   return true;
 }
 
 void Network::send_burst(std::vector<Datagram>&& burst) {
   // Consecutive same-(src, dst) runs share one link lookup and one
-  // transmit_burst; the common case (a lane flushing to one next hop) is
-  // a single run.
+  // transmit; the common case (a lane flushing to one next hop) is a
+  // single run.
   std::size_t i = 0;
   while (i < burst.size()) {
     std::size_t j = i + 1;
@@ -319,7 +259,7 @@ void Network::send_burst(std::vector<Datagram>&& burst) {
         recycle_buffer(std::move(burst[k].payload));
       }
     } else {
-      l->transmit_burst(std::span<Datagram>(burst).subspan(i, j - i));
+      l->transmit(std::span<Datagram>(burst).subspan(i, j - i));
     }
     i = j;
   }
@@ -356,25 +296,32 @@ void Network::recycle_buffer(std::vector<std::uint8_t>&& buf) {
   buffer_pool_.push_back(std::move(buf));
 }
 
-void Network::deliver(const Datagram& d) {
-  if (!node_up(d.dst)) return;  // machine down: datagram vanishes
-  auto it = handlers_.find({d.dst, d.dst_port});
-  if (it != handlers_.end()) it->second(d);
-  // No binding: silently dropped, like a closed UDP port.
+std::vector<Datagram> Network::take_burst() {
+  if (burst_pool_.empty()) return {};
+  std::vector<Datagram> burst = std::move(burst_pool_.back());
+  burst_pool_.pop_back();
+  return burst;
 }
 
-void Network::deliver_burst(std::span<Datagram> burst) {
+void Network::recycle_burst(std::vector<Datagram>&& burst) {
+  if (burst.capacity() == 0 || burst_pool_.size() >= kMaxRecycledBursts) {
+    return;
+  }
+  burst.clear();
+  burst_pool_.push_back(std::move(burst));
+}
+
+void Network::deliver(std::span<Datagram> burst) {
   if (burst.empty()) return;
-  if (!node_up(burst.front().dst)) return;  // one link => one dst node
+  if (!node_up(burst.front().dst)) return;  // machine down: burst vanishes
   std::size_t i = 0;
   while (i < burst.size()) {
     std::size_t j = i + 1;
     while (j < burst.size() && burst[j].dst_port == burst[i].dst_port) ++j;
-    if (auto it = burst_handlers_.find({burst[i].dst, burst[i].dst_port});
-        it != burst_handlers_.end()) {
+    // No binding: silently dropped, like a closed UDP port.
+    if (auto it = handlers_.find({burst[i].dst, burst[i].dst_port});
+        it != handlers_.end()) {
       it->second(burst.subspan(i, j - i));
-    } else {
-      for (std::size_t k = i; k < j; ++k) deliver(burst[k]);
     }
     i = j;
   }

@@ -106,45 +106,36 @@ class Link : public std::enable_shared_from_this<Link> {
   void set_up(bool up);
   [[nodiscard]] bool is_up() const { return up_; }
 
-  /// Queue a datagram for transmission. Applies loss model and tail drop.
-  void transmit(Datagram d);
-
-  /// Queue a burst of datagrams back-to-back. Admission (loss model, tail
-  /// drop, down check) and traces stay per-packet, but the burst shares
-  /// ONE serializer-departure event (the egress queue shrinks by the whole
-  /// burst when its last packet leaves the serializer) and ONE delivery
-  /// event with a single jitter draw (all survivors land together, in
-  /// order, at the last packet's delivery time) — the deliberate timing
-  /// coarsening that buys an O(batch) reduction in simulator events. A
-  /// one-packet burst is event-for-event identical to transmit().
-  /// Consumes the spanned datagrams (moves their payloads).
-  void transmit_burst(std::span<Datagram> burst);
+  /// Queue datagrams back-to-back; a single send is a burst of one.
+  /// Admission (loss model, tail drop, down check) and traces are
+  /// per-packet, but the burst shares ONE serializer-departure event (the
+  /// egress queue shrinks by the whole burst when its last packet leaves
+  /// the serializer) and ONE delivery event with a single jitter draw
+  /// (all survivors land together, in order, at the last packet's
+  /// delivery time) — the deliberate timing coarsening that buys an
+  /// O(batch) reduction in simulator events. Consumes the spanned
+  /// datagrams (moves their payloads).
+  void transmit(std::span<Datagram> burst);
 
   /// (Re)bind observability handles; nullptr detaches. Called by Network
   /// on creation and whenever the hub is attached.
   void bind_obs(obs::Observability* obs);
 
  private:
-  /// Admission step shared by transmit() and transmit_burst(): count the
-  /// offer, then drop the packet (down, loss draw, tail drop) or commit it
-  /// to the serializer queue. Returns the packet's serialization time when
-  /// admitted.
+  /// Admission step of transmit(): count the offer, then drop the packet
+  /// (down, loss draw, tail drop) or commit it to the serializer queue.
+  /// Returns the packet's serialization time when admitted.
   std::optional<Time> admit(Datagram& d);
   /// Drop `d`: bump `stat` and `counter`, trace `reason`, recycle the
   /// payload. Every drop on the link goes through here.
   void drop(Datagram& d, std::uint64_t& stat, obs::Counter* counter,
             const char* reason);
-  /// Serializer finished pushing one packet onto the wire: the egress
-  /// queue shrinks now, not when the packet lands after propagation.
-  void serializer_departure();
-  /// Burst variant: the serializer finished the burst's last packet.
-  void burst_departure(std::size_t n);
-  /// Propagation finished; deliver unless the link went down (epoch
-  /// mismatch) while the packet was in flight.
-  void complete_delivery(Datagram pkt, std::uint64_t epoch);
-  /// Burst variant: deliver (or drop, on epoch mismatch) every survivor.
-  void complete_burst_delivery(std::vector<Datagram> pkts,
-                               std::uint64_t epoch);
+  /// The serializer finished a burst's last packet: the egress queue
+  /// shrinks by its `n` packets now, not when they land after propagation.
+  void departure(std::size_t n);
+  /// Propagation finished; deliver every packet of the burst unless the
+  /// link went down (epoch mismatch) while it was in flight.
+  void complete_delivery(std::vector<Datagram> pkts, std::uint64_t epoch);
 
   Network& net_;
   NodeId from_, to_;
@@ -173,7 +164,7 @@ class Link : public std::enable_shared_from_this<Link> {
 /// Handler invoked on datagram arrival at a bound (node, port).
 using DatagramHandler = std::function<void(const Datagram&)>;
 
-/// Handler invoked with a whole arriving burst at a bound (node, port).
+/// Handler invoked with a run of arriving datagrams for one (node, port).
 /// The span is mutable so batch-aware receivers can steal payloads; any
 /// payload left behind is recycled by the caller.
 using BurstHandler = std::function<void(std::span<Datagram>)>;
@@ -218,22 +209,20 @@ class Network {
   }
 
   /// Bind a datagram handler at (node, port); replaces a previous binding.
+  /// An arriving run is handed to it one datagram at a time, in order.
   void bind(NodeId node, Port port, DatagramHandler handler);
+  /// Bind a burst handler at (node, port); replaces a previous binding.
+  /// It receives each arriving same-port run in one call.
+  void bind_burst(NodeId node, Port port, BurstHandler handler);
   void unbind(NodeId node, Port port);
 
-  /// Bind a burst handler at (node, port). When present it receives whole
-  /// arriving bursts in one call; single deliveries and bursts at ports
-  /// without one fall back to the per-datagram handler.
-  void bind_burst(NodeId node, Port port, BurstHandler handler);
-  void unbind_burst(NodeId node, Port port);
-
-  /// Send a datagram over the direct link src→dst.
+  /// Send a datagram over the direct link src→dst: a burst of one.
   /// Returns false (and drops) if no such link exists.
   bool send(Datagram d);
 
   /// Send a burst. Consecutive datagrams sharing (src, dst) ride the same
   /// link burst (one lookup, one departure + one delivery event — see
-  /// Link::transmit_burst); runs with no link are dropped and recycled.
+  /// Link::transmit); runs with no link are dropped and recycled.
   void send_burst(std::vector<Datagram>&& burst);
 
   /// Round-trip time of a small probe on the direct a→b and b→a links:
@@ -248,12 +237,10 @@ class Network {
   [[nodiscard]] std::optional<double> probe_bandwidth_bps(NodeId a, NodeId b,
                                                           double noise_frac);
 
-  // Internal: called by Link to hand a datagram to the destination node.
-  void deliver(const Datagram& d);
-  // Internal: hand a whole burst to the destination node. Consecutive
-  // same-port runs go to that port's burst handler in one call when one
-  // is bound, else datagram-at-a-time to the ordinary handler.
-  void deliver_burst(std::span<Datagram> burst);
+  // Internal: called by Link to hand a delivered burst to the destination
+  // node. Each consecutive same-port run goes to that port's handler in
+  // one call.
+  void deliver(std::span<Datagram> burst);
 
   /// Packet-conservation audit: one "<from>-><to>: ..." line per link
   /// whose LinkStats fail conserved(). Empty when every link balances.
@@ -271,8 +258,16 @@ class Network {
     return buffer_pool_.size();
   }
 
+  /// Burst-vector recycling, the same scheme for the vectors that carry
+  /// a burst through its delivery event: take_burst() hands out an empty
+  /// vector with spare capacity when one is pooled; recycle_burst()
+  /// clears one and returns it to the bounded freelist.
+  [[nodiscard]] std::vector<Datagram> take_burst();
+  void recycle_burst(std::vector<Datagram>&& burst);
+
  private:
   static constexpr std::size_t kMaxRecycledBuffers = 4096;
+  static constexpr std::size_t kMaxRecycledBursts = 4096;
 
   Simulator sim_;
   std::mt19937 rng_;
@@ -280,9 +275,9 @@ class Network {
   std::vector<std::string> node_names_;
   std::vector<bool> node_down_;  // lazily grown; default everything up
   std::map<std::pair<NodeId, NodeId>, std::shared_ptr<Link>> links_;
-  std::map<std::pair<NodeId, Port>, DatagramHandler> handlers_;
-  std::map<std::pair<NodeId, Port>, BurstHandler> burst_handlers_;
+  std::map<std::pair<NodeId, Port>, BurstHandler> handlers_;
   std::vector<std::vector<std::uint8_t>> buffer_pool_;
+  std::vector<std::vector<Datagram>> burst_pool_;
 };
 
 }  // namespace ncfn::netsim

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <utility>
 
 namespace ncfn::netsim {
 
 EventId Simulator::schedule_at(Time t, std::function<void()> fn) {
   assert(t >= now_ && "cannot schedule into the past");
   const EventId id = next_id_++;
-  queue_.push(Event{t, id, std::move(fn)});
+  queue_.push_back(Event{t, id, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), std::greater<>{});
   return id;
 }
 
@@ -21,9 +24,10 @@ bool Simulator::is_cancelled(EventId id) {
 
 std::size_t Simulator::run_until(Time t_end) {
   std::size_t executed = 0;
-  while (!queue_.empty() && queue_.top().at <= t_end) {
-    Event ev = queue_.top();
-    queue_.pop();
+  while (!queue_.empty() && queue_.front().at <= t_end) {
+    std::pop_heap(queue_.begin(), queue_.end(), std::greater<>{});
+    Event ev = std::move(queue_.back());
+    queue_.pop_back();
     if (is_cancelled(ev.id)) continue;
     now_ = ev.at;
     ev.fn();

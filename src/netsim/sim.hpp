@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace ncfn::netsim {
@@ -59,7 +58,9 @@ class Simulator {
 
   Time now_ = 0;
   EventId next_id_ = 1;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  // Min-heap on (at, id) kept with std::push_heap/pop_heap, so a pop can
+  // move the event (and its callable's captures) out instead of copying.
+  std::vector<Event> queue_;
   std::vector<EventId> cancelled_;
 };
 

@@ -63,10 +63,7 @@ CodingVnf::CodingVnf(netsim::Network& net, netsim::NodeId node,
 }
 
 CodingVnf::~CodingVnf() {
-  for (const auto& [id, st] : sessions_) {
-    net_.unbind(node_, st.port);
-    net_.unbind_burst(node_, st.port);
-  }
+  for (const auto& [id, st] : sessions_) net_.unbind(node_, st.port);
 }
 
 void CodingVnf::set_lanes(std::size_t lanes) {
@@ -92,13 +89,9 @@ void CodingVnf::set_lanes(std::size_t lanes) {
 void CodingVnf::configure_session(coding::SessionId id, ctrl::VnfRole role,
                                   netsim::Port port) {
   auto& st = sessions_[id];
-  if (st.port != 0 && st.port != port) {
-    net_.unbind(node_, st.port);
-    net_.unbind_burst(node_, st.port);
-  }
+  if (st.port != 0 && st.port != port) net_.unbind(node_, st.port);
   st.role = role;
   st.port = port;
-  net_.bind(node_, port, [this](const netsim::Datagram& d) { on_datagram(d); });
   net_.bind_burst(node_, port,
                   [this](std::span<netsim::Datagram> b) { on_burst(b); });
 }
@@ -107,7 +100,6 @@ void CodingVnf::drop_session(coding::SessionId id) {
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return;
   net_.unbind(node_, it->second.port);
-  net_.unbind_burst(node_, it->second.port);
   buffer_.erase_session(id);
   cached_state_ = nullptr;  // the arrival-path cache may point at `it`
   sessions_.erase(it);
@@ -232,12 +224,6 @@ void CodingVnf::note_backlog() {
   if (m_lane_backlog_ != nullptr) {
     m_lane_backlog_->set(static_cast<double>(queued_total_));
   }
-}
-
-void CodingVnf::on_datagram(const netsim::Datagram& d) {
-  const std::size_t idx = enqueue_datagram(d);
-  note_backlog();
-  if (idx != static_cast<std::size_t>(-1)) start_drain(idx);
 }
 
 void CodingVnf::on_burst(std::span<netsim::Datagram> burst) {

@@ -234,7 +234,6 @@ class CodingVnf {
   /// This packet completed the generation's rank.
   static constexpr std::uint8_t kMetaCompletedNow = 0x04;
 
-  void on_datagram(const netsim::Datagram& d);
   void on_burst(std::span<netsim::Datagram> burst);
   /// Parse + lane admission; returns the lane index or npos on drop.
   std::size_t enqueue_datagram(const netsim::Datagram& d);

@@ -20,6 +20,7 @@
 #include "netsim/loss.hpp"
 #include "netsim/network.hpp"
 #include "netsim/schedule.hpp"
+#include "obs/obs.hpp"
 
 using namespace ncfn;
 using namespace ncfn::netsim;
@@ -93,22 +94,34 @@ TEST(LinkQueue, TailDropStillEnforcedAtTheSerializer) {
 // ---------------------------------------------------------------------------
 
 TEST(LinkLifetime, ReplaceLinkWithPacketsInFlightIsSafe) {
-  Network net = make_two_node_net(100e6, 0.5);
-  int delivered = 0;
-  net.bind(1, 9, [&](const Datagram&) { ++delivered; });
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(net.send(make_dgram(0, 1, 9, 200)));
-  net.sim().run_until(0.1);  // serialized, still propagating
+  // The in-flight packets ride either five single sends or one burst.
+  for (const bool as_burst : {false, true}) {
+    SCOPED_TRACE(as_burst ? "burst" : "single sends");
+    Network net = make_two_node_net(100e6, 0.5);
+    int delivered = 0;
+    net.bind(1, 9, [&](const Datagram&) { ++delivered; });
+    if (as_burst) {
+      std::vector<Datagram> burst;
+      for (int i = 0; i < 5; ++i) burst.push_back(make_dgram(0, 1, 9, 200));
+      net.send_burst(std::move(burst));
+    } else {
+      for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(net.send(make_dgram(0, 1, 9, 200)));
+      }
+    }
+    net.sim().run_until(0.1);  // serialized, still propagating
 
-  LinkConfig lc;
-  lc.capacity_bps = 50e6;
-  lc.prop_delay = 0.001;
-  net.add_link(0, 1, lc);  // replaces the old link; old packets evaporate
-  net.sim().run_until(1.0);
-  EXPECT_EQ(delivered, 0);  // in-flight packets died with their link
+    LinkConfig lc;
+    lc.capacity_bps = 50e6;
+    lc.prop_delay = 0.001;
+    net.add_link(0, 1, lc);  // replaces the old link; old packets evaporate
+    net.sim().run_until(1.0);
+    EXPECT_EQ(delivered, 0);  // in-flight packets died with their link
 
-  ASSERT_TRUE(net.send(make_dgram(0, 1, 9, 200)));
-  net.sim().run();
-  EXPECT_EQ(delivered, 1);  // the replacement link works
+    ASSERT_TRUE(net.send(make_dgram(0, 1, 9, 200)));
+    net.sim().run();
+    EXPECT_EQ(delivered, 1);  // the replacement link works
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -133,6 +146,39 @@ TEST(LinkState, DownDropsNewAndInFlightPackets) {
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(net.link(0, 1)->stats().dropped_down, 2u);
   EXPECT_TRUE(net.link(0, 1)->is_up());
+}
+
+TEST(LinkState, DownMidFlightDropsTheWholeBurst) {
+  obs::Observability obs;
+  Network net = make_two_node_net(100e6, 0.5);
+  obs.trace.enable();
+  net.set_obs(&obs);
+  int delivered = 0;
+  net.bind(1, 9, [&](const Datagram&) { ++delivered; });
+  std::vector<Datagram> burst;
+  for (int i = 0; i < 6; ++i) burst.push_back(make_dgram(0, 1, 9, 200));
+  net.send_burst(std::move(burst));  // in flight until ~0.5
+  net.sim().schedule(0.2, [&] {
+    EXPECT_EQ(net.link(0, 1)->stats().in_flight, 6u);
+    EXPECT_TRUE(net.link(0, 1)->stats().conserved());
+    net.link(0, 1)->set_up(false);
+  });
+  net.sim().run();
+  const LinkStats& st = net.link(0, 1)->stats();
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(st.offered, 6u);
+  EXPECT_EQ(st.dropped_down, 6u);
+  EXPECT_EQ(st.in_flight, 0u);
+  EXPECT_TRUE(st.conserved());
+  // One "down" drop record per packet of the burst.
+  const std::string& trace = obs.trace.data();
+  std::size_t downs = 0;
+  for (std::size_t at = trace.find("\"reason\":\"down\"");
+       at != std::string::npos;
+       at = trace.find("\"reason\":\"down\"", at + 1)) {
+    ++downs;
+  }
+  EXPECT_EQ(downs, 6u);
 }
 
 TEST(LinkState, NodeDownSeversIncidentLinksAndLocalDelivery) {

@@ -3,10 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <memory>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "netsim/loss.hpp"
 #include "netsim/network.hpp"
 #include "netsim/sim.hpp"
+#include "obs/obs.hpp"
 
 using namespace ncfn::netsim;
 
@@ -74,6 +81,33 @@ TEST(Simulator, CancelAfterFireIsNoop) {
   sim.schedule(1.0, [&] { ++fired; });
   sim.run();
   EXPECT_EQ(fired, 2);
+}
+
+namespace {
+/// Counts copies of itself; moves are free. Held by an event callable, it
+/// shows whether the simulator copies events on the way out of the queue.
+struct CopyCounter {
+  int* copies;
+  explicit CopyCounter(int* c) : copies(c) {}
+  CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+  CopyCounter(CopyCounter&&) noexcept = default;
+  CopyCounter& operator=(const CopyCounter&) = delete;
+  CopyCounter& operator=(CopyCounter&&) = delete;
+};
+}  // namespace
+
+TEST(Simulator, PopMovesEventsOutWithoutCopying) {
+  Simulator sim;
+  int copies = 0;
+  int fired = 0;
+  // Several events so the heap reorders them on push and pop.
+  for (int i = 0; i < 8; ++i) {
+    sim.schedule(8.0 - i,
+                 [c = CopyCounter(&copies), &fired] { ++fired; });
+  }
+  sim.run();
+  EXPECT_EQ(fired, 8);
+  EXPECT_EQ(copies, 0);
 }
 
 namespace {
@@ -252,6 +286,142 @@ TEST(Network, ZeroJitterKeepsOrder) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], i);
   }
+}
+
+// ---- Bursts: a single send is a burst of one ----
+
+namespace {
+/// `n` datagrams 0→1 of 972 bytes (1000 B on the wire), payload[0] =
+/// their index.
+std::vector<Datagram> make_burst(std::size_t n, Port port = 9) {
+  std::vector<Datagram> burst;
+  for (std::size_t i = 0; i < n; ++i) {
+    Datagram d = make_dgram(0, 1, port, 972);
+    d.payload[0] = static_cast<std::uint8_t>(i);
+    burst.push_back(std::move(d));
+  }
+  return burst;
+}
+}  // namespace
+
+TEST(Burst, OneDepartureAndOneDeliveryEventPerBurst) {
+  Network net = make_two_node_net(8e6, 0.05);
+  int delivered = 0;
+  net.bind(1, 9, [&](const Datagram&) { ++delivered; });
+  net.send_burst(make_burst(16));
+  EXPECT_EQ(net.sim().run(), 2u);
+  EXPECT_EQ(delivered, 16);
+  EXPECT_EQ(net.link(0, 1)->stats().delivered, 16u);
+}
+
+TEST(Burst, PacketsLandInOrderAtTheLastPacketsDeliveryTime) {
+  // 8 Mbps, 1000 B on the wire: the fourth packet leaves the serializer
+  // at 4 ms and lands 50 ms later; the whole burst lands with it.
+  Network net = make_two_node_net(8e6, 0.05);
+  std::vector<std::uint8_t> order;
+  std::vector<double> arrivals;
+  net.bind(1, 9, [&](const Datagram& d) {
+    order.push_back(d.payload[0]);
+    arrivals.push_back(net.sim().now());
+  });
+  net.send_burst(make_burst(4));
+  net.sim().run();
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1, 2, 3}));
+  ASSERT_EQ(arrivals.size(), 4u);
+  for (double t : arrivals) EXPECT_NEAR(t, 0.054, 1e-9);
+}
+
+TEST(Burst, SingleSendMatchesOneElementBurst) {
+  // Same traffic through send() and through one-element send_burst():
+  // identical trace bytes and simulator event counts, jitter included.
+  auto run = [](bool as_burst) {
+    ncfn::obs::Observability obs;  // outlives the network, as set_obs requires
+    Network net(3);
+    obs.trace.enable();
+    obs.trace.set_clock([&net] { return net.sim().now(); });
+    net.add_node("a");
+    net.add_node("b");
+    LinkConfig lc;
+    lc.capacity_bps = 8e6;
+    lc.prop_delay = 0.01;
+    lc.queue_packets = 3;
+    lc.jitter = 0.002;
+    net.add_link(0, 1, lc);
+    net.set_obs(&obs);
+    net.link(0, 1)->set_loss_model(std::make_unique<UniformLoss>(0.2));
+    int delivered = 0;
+    net.bind(1, 9, [&](const Datagram&) { ++delivered; });
+    for (int i = 0; i < 40; ++i) {
+      net.sim().schedule_at(0.0005 * i, [&net, as_burst] {
+        if (as_burst) {
+          std::vector<Datagram> one;
+          one.push_back(make_dgram(0, 1, 9, 972));
+          net.send_burst(std::move(one));
+        } else {
+          EXPECT_TRUE(net.send(make_dgram(0, 1, 9, 972)));
+        }
+      });
+    }
+    const std::size_t events = net.sim().run();
+    return std::make_pair(events, obs.trace.data() + "delivered=" +
+                                      std::to_string(delivered));
+  };
+  const auto single = run(false);
+  const auto burst = run(true);
+  EXPECT_EQ(single.first, burst.first);
+  EXPECT_EQ(single.second, burst.second);
+  // The run exercised loss and tail drop, not only clean deliveries.
+  EXPECT_NE(single.second.find("\"reason\":\"loss\""), std::string::npos);
+  EXPECT_NE(single.second.find("\"reason\":\"queue\""), std::string::npos);
+}
+
+TEST(Burst, DatagramHandlerSeesBurstOneDatagramAtATime) {
+  Network net = make_two_node_net(8e6, 0.0);
+  std::vector<std::uint8_t> order;
+  net.bind(1, 9, [&](const Datagram& d) { order.push_back(d.payload[0]); });
+  net.send_burst(make_burst(5));
+  net.sim().run();
+  EXPECT_EQ(order, (std::vector<std::uint8_t>{0, 1, 2, 3, 4}));
+}
+
+TEST(Burst, BurstHandlerReceivesEachSamePortRunInOneCall) {
+  Network net = make_two_node_net(8e6, 0.0);
+  std::vector<std::pair<Port, std::vector<std::uint8_t>>> calls;
+  auto record = [&calls](Port port) {
+    return [&calls, port](std::span<Datagram> run) {
+      std::vector<std::uint8_t> ids;
+      for (const Datagram& d : run) ids.push_back(d.payload[0]);
+      calls.emplace_back(port, std::move(ids));
+    };
+  };
+  net.bind_burst(1, 9, record(9));
+  net.bind_burst(1, 10, record(10));
+  std::vector<Datagram> burst = make_burst(6);
+  for (const std::size_t i : {3, 4}) burst[i].dst_port = 10;
+  net.send_burst(std::move(burst));
+  EXPECT_EQ(net.sim().run(), 2u);  // still one link burst
+  using Call = std::pair<Port, std::vector<std::uint8_t>>;
+  EXPECT_EQ(calls, (std::vector<Call>{
+                       {9, {0, 1, 2}}, {10, {3, 4}}, {9, {5}}}));
+}
+
+TEST(Burst, BindAndBindBurstShareOnePortSlot) {
+  // One handler per port: the later binding replaces the earlier one,
+  // and unbind removes whichever is bound.
+  Network net = make_two_node_net(8e6, 0.0);
+  int singles = 0;
+  int runs = 0;
+  net.bind(1, 9, [&](const Datagram&) { ++singles; });
+  net.bind_burst(1, 9, [&](std::span<Datagram>) { ++runs; });
+  net.send_burst(make_burst(3));
+  net.sim().run();
+  EXPECT_EQ(singles, 0);
+  EXPECT_EQ(runs, 1);
+  net.unbind(1, 9);
+  net.send_burst(make_burst(3));
+  net.sim().run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(net.link(0, 1)->stats().delivered, 6u);
 }
 
 // ---- Loss models ----
